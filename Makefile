@@ -1,13 +1,14 @@
 # Development targets for the lossyckpt repo. `make check` is the
-# pre-commit gate: formatting, vet, build, the full test suite under
-# the race detector, and a short fuzz pass over every decoder.
+# pre-commit gate: formatting, vet, build (perfbench too), the
+# full test suite under the race detector, and a short fuzz pass over
+# every decoder.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check fmt-check vet build test race fuzz-smoke serve-smoke crash-matrix-replicated crash-matrix-dedup bench-parallel bench-obs bench-gzip bench-entropy bench-dedup bench-qa bench-smoke bench-compare bench-compare-smoke
+.PHONY: check fmt-check vet build perfbench-build test race fuzz-smoke serve-smoke crash-matrix-replicated crash-matrix-dedup bench-parallel bench-obs bench-gzip bench-entropy bench-dedup bench-qa bench-smoke bench-compare bench-compare-smoke
 
-check: fmt-check vet build race fuzz-smoke serve-smoke bench-compare-smoke
+check: fmt-check vet build perfbench-build race fuzz-smoke serve-smoke bench-compare-smoke
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -20,6 +21,12 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# perfbench-build vets and compiles the perfbench benchmark, a separate
+# module that builds against this tree: a change that breaks the names
+# it uses fails here instead of in the benchmark run.
+perfbench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) build ./...
 
 test:
 	$(GO) test ./...

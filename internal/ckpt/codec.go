@@ -304,8 +304,8 @@ type Lossy struct {
 	// keep the total goroutine count at one per array.
 	Options core.Options
 	// ChunkExtent, when positive, compresses each array in slabs of that
-	// many leading-axis planes (core.CompressChunkedParallel), bounding
-	// peak memory for very large arrays. Zero compresses whole arrays.
+	// many leading-axis planes on the chunked worker pool, bounding peak
+	// memory for very large arrays. Zero compresses whole arrays.
 	ChunkExtent int
 	// Tuner, when set, picks the entropy-stage configuration (codec,
 	// shuffle, gzip block size) per variable from probe measurements and
@@ -338,14 +338,6 @@ func (c *Lossy) optionsFor(name string, f *grid.Field) core.Options {
 	return opts
 }
 
-// feedback reports one real encode's entropy-stage timing back to the
-// tuner, closing the online loop.
-func (c *Lossy) feedback(name string, enc *Encoded) {
-	if c.Tuner != nil && enc != nil {
-		c.Tuner.Observe(name, enc.RawBytes, enc.Timings.Gzip.Seconds())
-	}
-}
-
 // NewLossy returns a Lossy codec with the paper's default configuration.
 func NewLossy() *Lossy { return &Lossy{Options: core.DefaultOptions()} }
 
@@ -363,31 +355,7 @@ func (c *Lossy) Encode(f *grid.Field) (*Encoded, error) {
 // EncodeNamed implements NamedEncoder: the variable name keys the
 // tuner's per-variable decisions and the entropy-selection telemetry.
 func (c *Lossy) EncodeNamed(name string, f *grid.Field) (*Encoded, error) {
-	opts := c.optionsFor(name, f)
-	var enc *Encoded
-	if c.ChunkExtent > 0 {
-		res, err := core.CompressChunkedParallel(f, opts, c.ChunkExtent)
-		if err != nil {
-			return nil, err
-		}
-		enc = &Encoded{Payload: res.Data, RawBytes: res.RawBytes, Timings: res.Timings, ChunkTimings: res.PerChunk}
-	} else {
-		res, err := core.Compress(f, opts)
-		if err != nil {
-			return nil, err
-		}
-		enc = &Encoded{Payload: res.Data, RawBytes: res.RawBytes, Timings: res.Timings}
-	}
-	c.annotate(enc, opts)
-	c.feedback(name, enc)
-	return enc, nil
-}
-
-// annotate records the resolved pipeline decisions on the accounting —
-// what the journal's wide events report per entry.
-func (c *Lossy) annotate(enc *Encoded, opts core.Options) {
-	enc.EntropyLabel = entropy.Params{Codec: opts.EntropyCodec, Shuffle: opts.Shuffle}.Label()
-	enc.Divisions = opts.Divisions
+	return c.encode(nil, name, f, nil)
 }
 
 // EncodeTo implements StreamEncoder. With ChunkExtent set this is the
@@ -404,26 +372,53 @@ func (c *Lossy) EncodeTo(w io.Writer, f *grid.Field) (*Encoded, error) {
 // the variable name available, so the tuner steers the streaming path
 // too.
 func (c *Lossy) EncodeNamedTo(w io.Writer, name string, f *grid.Field) (*Encoded, error) {
+	return c.encode(w, name, f, nil)
+}
+
+// encode is the one lossy encode body behind EncodeNamed, EncodeNamedTo
+// and EncodeNamedDelta. With w nil the payload is returned in
+// Encoded.Payload; otherwise it is written to w and Payload is nil. A
+// non-nil cache turns on slab reuse for chunked arrays (whole arrays have
+// no slabs to reuse).
+func (c *Lossy) encode(w io.Writer, name string, f *grid.Field, cache *core.SlabCache) (*Encoded, error) {
 	opts := c.optionsFor(name, f)
-	var enc *Encoded
+	enc := &Encoded{RawBytes: f.Bytes()}
 	if c.ChunkExtent > 0 {
-		res, err := core.CompressChunkedTo(w, f, opts, c.ChunkExtent)
+		var res *core.ChunkedResult
+		var err error
+		if w != nil {
+			res, err = core.CompressChunkedTo(w, f, opts, c.ChunkExtent)
+		} else {
+			res, err = core.CompressChunkedDelta(f, opts, c.ChunkExtent, cache)
+		}
 		if err != nil {
 			return nil, err
 		}
-		enc = &Encoded{RawBytes: res.RawBytes, Timings: res.Timings, ChunkTimings: res.PerChunk}
+		enc.Payload, enc.Timings, enc.ChunkTimings = res.Data, res.Timings, res.PerChunk
+		if cache != nil {
+			enc.SlabsReused, enc.SlabsTotal = res.SlabsReused, res.Chunks
+		}
 	} else {
 		res, err := core.Compress(f, opts)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := w.Write(res.Data); err != nil {
-			return nil, err
+		enc.Payload, enc.Timings = res.Data, res.Timings
+		if w != nil {
+			if _, err := w.Write(res.Data); err != nil {
+				return nil, err
+			}
+			enc.Payload = nil
 		}
-		enc = &Encoded{RawBytes: res.RawBytes, Timings: res.Timings}
 	}
-	c.annotate(enc, opts)
-	c.feedback(name, enc)
+	// Record the resolved pipeline decisions (what the journal's wide
+	// events report per entry) and close the tuner's online loop with the
+	// real entropy-stage timing.
+	enc.EntropyLabel = entropy.Params{Codec: opts.EntropyCodec, Shuffle: opts.Shuffle}.Label()
+	enc.Divisions = opts.Divisions
+	if c.Tuner != nil {
+		c.Tuner.Observe(name, enc.RawBytes, enc.Timings.Gzip.Seconds())
+	}
 	return enc, nil
 }
 

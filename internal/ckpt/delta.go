@@ -18,8 +18,6 @@ package ckpt
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
-	"math"
 
 	"lossyckpt/internal/core"
 	"lossyckpt/internal/grid"
@@ -44,25 +42,7 @@ func (c *Lossy) DeltaCapable() bool { return c.ChunkExtent > 0 }
 
 // EncodeNamedDelta implements DeltaEncoder.
 func (c *Lossy) EncodeNamedDelta(name string, f *grid.Field, cache *core.SlabCache) (*Encoded, error) {
-	if c.ChunkExtent <= 0 {
-		return c.EncodeNamed(name, f)
-	}
-	opts := c.optionsFor(name, f)
-	res, err := core.CompressChunkedDelta(f, opts, c.ChunkExtent, cache)
-	if err != nil {
-		return nil, err
-	}
-	enc := &Encoded{
-		Payload:      res.Data,
-		RawBytes:     res.RawBytes,
-		Timings:      res.Timings,
-		ChunkTimings: res.PerChunk,
-		SlabsReused:  res.SlabsReused,
-		SlabsTotal:   res.Chunks,
-	}
-	c.annotate(enc, opts)
-	c.feedback(name, enc)
-	return enc, nil
+	return c.encode(nil, name, f, cache)
 }
 
 // varDelta is one variable's carried-over state: the slab cache for
@@ -114,27 +94,6 @@ func (m *Manager) deltaFor() map[string]*varDelta {
 	return m.delta
 }
 
-// sumField fingerprints an array's raw float64 image in bounded blocks.
-func sumField(f *grid.Field) [sha256.Size]byte {
-	h := sha256.New()
-	var buf [4096]byte
-	data := f.Data()
-	for len(data) > 0 {
-		n := len(buf) / 8
-		if n > len(data) {
-			n = len(data)
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(data[i]))
-		}
-		h.Write(buf[:8*n])
-		data = data[n:]
-	}
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
-}
-
 // encodeDelta encodes one variable under delta rules. vd must be this
 // variable's slot (non-nil); de is the codec's DeltaEncoder extension
 // or nil. Exactly one goroutine touches one vd, so no locking.
@@ -144,7 +103,10 @@ func (m *Manager) encodeDelta(name string, f *grid.Field, vd *varDelta, de Delta
 		// whole-variable fingerprint would just hash everything twice.
 		return de.EncodeNamedDelta(name, f, &vd.slabs)
 	}
-	sum := sumField(f)
+	h := sha256.New()
+	f.WriteTo(h)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
 	if vd.have && vd.sum == sum {
 		// Unchanged variable: re-emit the cached encoding. The copy keeps
 		// callers from sharing Timings mutations with the cache.

@@ -31,13 +31,6 @@ var ErrStoreEmpty = errors.New("ckpt: no restorable generation in store")
 // replication-agnostic. The returned Generation records the committed
 // sequence number, size and CRC.
 func (m *Manager) CheckpointTo(st store.Target, step int) (rep *Report, gen store.Generation, err error) {
-	return m.CheckpointToCtx(context.Background(), st, step)
-}
-
-// CheckpointToCtx is CheckpointTo bound to a request context: the
-// context reaches the store's commit and retry path, so a cancelled
-// request aborts the commit instead of sleeping out backoff ladders.
-func (m *Manager) CheckpointToCtx(ctx context.Context, st store.Target, step int) (rep *Report, gen store.Generation, err error) {
 	// Open the checkpoint wide event here so the store's commit and vote
 	// records become children of the same operation; the inner
 	// Checkpoint call enriches it (see journal.go).
@@ -51,7 +44,7 @@ func (m *Manager) CheckpointToCtx(ctx context.Context, st store.Target, step int
 			op.End(err)
 		}()
 	}
-	gen, err = st.CommitFuncCtx(ctx, step, func(w io.Writer) error {
+	gen, err = st.CommitFunc(step, func(w io.Writer) error {
 		var cerr error
 		rep, cerr = m.Checkpoint(w, step)
 		return cerr

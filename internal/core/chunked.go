@@ -349,15 +349,6 @@ func DecompressChunked(data []byte) (*grid.Field, error) {
 	return f, nil
 }
 
-// DecompressAny decodes either a plain Compress stream or a chunked
-// CompressChunked stream, sniffing the leading magic bytes.
-func DecompressAny(data []byte) (*grid.Field, error) {
-	if len(data) >= 4 && binary.LittleEndian.Uint32(data) == chunkedMagic {
-		return DecompressChunked(data)
-	}
-	return Decompress(data)
-}
-
 func append16(b []byte, v uint16) []byte {
 	var t [2]byte
 	binary.LittleEndian.PutUint16(t[:], v)

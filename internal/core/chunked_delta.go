@@ -1,28 +1,17 @@
-// chunked_delta.go is the delta-aware variant of the chunked parallel
-// engine. Scientific time-stepping often leaves most of an array
-// untouched between checkpoints (halo updates, local physics); the full
-// pipeline still pays wavelet+quantize+DEFLATE for every slab. The
-// delta path fingerprints each slab's raw bytes (SHA-256) against the
-// previous checkpoint and re-emits the cached compressed frame for
-// clean slabs, so compression CPU scales with the mutated fraction —
-// while the framed output stays byte-identical to
+// chunked_delta.go holds the slab cache behind CompressChunkedDelta.
+// Scientific time-stepping often leaves most of an array untouched
+// between checkpoints (halo updates, local physics); the full pipeline
+// still pays wavelet+quantize+DEFLATE for every slab. With a cache, the
+// chunked pipeline (stream.go) fingerprints each slab's raw bytes
+// (SHA-256) against the previous checkpoint and re-emits the cached
+// compressed frame for clean slabs, so compression CPU scales with the
+// mutated fraction — while the framed output stays byte-identical to
 // CompressChunkedParallel for the same field, options and chunk extent
 // (per-slab compression is deterministic, so a cached frame IS the
 // frame a recompression would produce).
 package core
 
-import (
-	"crypto/sha256"
-	"encoding/binary"
-	"fmt"
-	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"lossyckpt/internal/grid"
-)
+import "crypto/sha256"
 
 // slabEntry is one slab's cached fingerprint and compressed frame.
 type slabEntry struct {
@@ -37,8 +26,8 @@ type slabEntry struct {
 // A cache is valid for one (shape, chunkExtent, options) combination;
 // any change invalidates it wholesale and the next call recompresses
 // everything. The zero value is ready to use. A SlabCache is not safe
-// for concurrent use (the delta compressor itself updates it from a
-// single goroutine after the parallel fan-out).
+// for concurrent use (within one compression, workers only read it and
+// the pipeline's single ordered writer updates it).
 type SlabCache struct {
 	shape       []int
 	chunkExtent int
@@ -77,149 +66,4 @@ func (c *SlabCache) matches(shape []int, chunkExtent int, opts Options, nChunks 
 		}
 	}
 	return true
-}
-
-// sumSlab fingerprints a slab's raw float64 bytes without materializing
-// the whole byte image: the hash streams over bounded blocks.
-func sumSlab(data []float64) [sha256.Size]byte {
-	h := sha256.New()
-	var buf [4096]byte
-	for len(data) > 0 {
-		n := len(buf) / 8
-		if n > len(data) {
-			n = len(data)
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(data[i]))
-		}
-		h.Write(buf[:8*n])
-		data = data[n:]
-	}
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
-}
-
-// CompressChunkedDelta is CompressChunkedParallel with slab-level reuse:
-// slabs whose raw bytes are unchanged since the cache was filled re-emit
-// their cached compressed frame and skip the wavelet/quantize/entropy
-// pipeline entirely. The framed stream is byte-identical to
-// CompressChunkedParallel for the same inputs; the result's SlabsReused
-// reports how many slabs were served from cache. The cache is updated in
-// place to describe this checkpoint.
-func CompressChunkedDelta(f *grid.Field, opts Options, chunkExtent int, cache *SlabCache) (*ChunkedResult, error) {
-	if cache == nil {
-		return CompressChunkedParallel(f, opts, chunkExtent)
-	}
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if chunkExtent < 1 {
-		return nil, fmt.Errorf("%w: chunk extent %d", ErrOptions, chunkExtent)
-	}
-	wall := time.Now()
-	shape := f.Shape()
-	nChunks := (shape[0] + chunkExtent - 1) / chunkExtent
-	planeElems := f.Len() / shape[0]
-	if !cache.matches(shape, chunkExtent, opts, nChunks) {
-		cache.shape = append([]int(nil), shape...)
-		cache.chunkExtent = chunkExtent
-		cache.opts = cacheKey(opts)
-		cache.slabs = make([]slabEntry, nChunks)
-		cache.valid = true
-	}
-
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nChunks {
-		workers = nChunks
-	}
-	chunkOpts := opts
-	chunkOpts.Workers = 1
-	chunkOpts.chunkInternal = true
-
-	results := make([]*Result, nChunks)
-	reusedFlags := make([]bool, nChunks)
-	sums := make([][sha256.Size]byte, nChunks)
-	errs := make([]error, nChunks)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nChunks {
-					return
-				}
-				start := c * chunkExtent
-				ext := chunkExtent
-				if rem := shape[0] - start; rem < ext {
-					ext = rem
-				}
-				slab, err := slabAt(f, shape, planeElems, start, ext)
-				if err != nil {
-					errs[c] = err
-					continue
-				}
-				sums[c] = sumSlab(slab.Data())
-				// Reading cache.slabs concurrently is safe: the cache is
-				// only written after the fan-out completes.
-				if ent := cache.slabs[c]; ent.res != nil && ent.sum == sums[c] {
-					results[c] = ent.res
-					reusedFlags[c] = true
-					continue
-				}
-				cres, err := Compress(slab, chunkOpts)
-				if err != nil {
-					errs[c] = fmt.Errorf("core: chunk at plane %d: %w", start, err)
-					continue
-				}
-				results[c] = cres
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	res := &ChunkedResult{RawBytes: f.Bytes(), Workers: workers}
-	total := len(chunkedHeader(shape, nChunks))
-	for _, cres := range results {
-		total += 12 + len(cres.Data)
-	}
-	out := make([]byte, 0, total)
-	out = append(out, chunkedHeader(shape, nChunks)...)
-	for c, cres := range results {
-		var frame [12]byte
-		ext := chunkExtent
-		if rem := shape[0] - c*chunkExtent; rem < ext {
-			ext = rem
-		}
-		binary.LittleEndian.PutUint32(frame[0:], uint32(ext))
-		binary.LittleEndian.PutUint64(frame[4:], uint64(len(cres.Data)))
-		out = append(out, frame[:]...)
-		out = append(out, cres.Data...)
-		res.addChunk(cres)
-		if reusedFlags[c] {
-			res.SlabsReused++
-		} else {
-			// Cache a timings-free copy: a future reuse contributes the
-			// bytes and quality stats but no phony CPU.
-			cached := *cres
-			cached.Timings = Timings{}
-			cache.slabs[c] = slabEntry{sum: sums[c], res: &cached}
-		}
-	}
-	res.Data = out
-	res.StreamBytes = len(out)
-	res.Timings.Total = time.Since(wall)
-	recordChunkedCompress(opts, res)
-	return res, nil
 }

@@ -81,7 +81,8 @@ type Options struct {
 	// zero value, entropy.Gzip, keeps the paper's DEFLATE stage and — with
 	// Shuffle off — produces the exact legacy byte stream, no envelope.
 	// Any other selection wraps the payload in the self-describing entropy
-	// envelope, which Decompress/DecompressAny consume transparently.
+	// envelope, which Decompress/DecompressAnyParallel consume
+	// transparently.
 	// entropy.LZ4 trades compression ratio for >4× stage-4 throughput.
 	EntropyCodec entropy.ID
 	// Shuffle runs the byte-lane transpose pre-pass over the formatted

@@ -45,7 +45,7 @@ func TestEntropyCodecRoundTrip(t *testing.T) {
 		}
 		for name, dec := range map[string]func([]byte) (interface{ Data() []float64 }, error){
 			"Decompress":    func(d []byte) (interface{ Data() []float64 }, error) { return Decompress(d) },
-			"DecompressAny": func(d []byte) (interface{ Data() []float64 }, error) { return DecompressAny(d) },
+			"AnyParallel/0": func(d []byte) (interface{ Data() []float64 }, error) { return DecompressAnyParallel(d, 0) },
 			"AnyParallel":   func(d []byte) (interface{ Data() []float64 }, error) { return DecompressAnyParallel(d, 2) },
 		} {
 			g, err := dec(res.Data)
@@ -122,7 +122,7 @@ func TestEntropyChunkedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := DecompressAny(cres.Data)
+	g, err := DecompressAnyParallel(cres.Data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,12 @@ const (
 	MetricDecompressOps    = "lossyckpt_decompress_operations_total"
 	MetricDecompressWall   = "lossyckpt_decompress_wall_seconds"
 	MetricDecompressBytes  = "lossyckpt_decompress_raw_bytes_total"
-	// Streaming-pipeline series (CompressChunkedTo): time the ordered
-	// writer spends stalled waiting for the next in-order chunk, time
-	// spent writing to the destination, and a gauge of compressed chunks
-	// in flight between the workers and the writer.
+	// Chunked-pipeline series, recorded by every parallel chunked
+	// compression (CompressChunkedTo, CompressChunkedParallel,
+	// CompressChunkedDelta): time the ordered writer spends stalled
+	// waiting for the next in-order chunk, time spent writing to the sink,
+	// and a gauge of compressed chunks in flight between the workers and
+	// the writer.
 	MetricStreamStallSeconds = "lossyckpt_stream_stall_seconds_total"
 	MetricStreamWriteSeconds = "lossyckpt_stream_write_seconds_total"
 	MetricStreamInflight     = "lossyckpt_stream_inflight_chunks"

@@ -262,8 +262,9 @@ func CompressChunkedTo(w io.Writer, f *Field, opts Options, chunkExtent int) (*C
 }
 
 // DecompressAny decodes either a Compress stream or a CompressChunked
-// stream, sniffing the framing.
-func DecompressAny(data []byte) (*Field, error) { return core.DecompressAny(data) }
+// stream, sniffing the framing. Chunks and large wavelet passes decode on
+// GOMAXPROCS goroutines.
+func DecompressAny(data []byte) (*Field, error) { return core.DecompressAnyParallel(data, 0) }
 
 // PSNR returns the peak signal-to-noise ratio in decibels between an
 // original and a reconstructed field — the metric the later SZ/ZFP
