@@ -172,7 +172,7 @@ func BenchmarkStageDecompress(b *testing.B) {
 	b.SetBytes(int64(f.Bytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Decompress(res.Data); err != nil {
+		if _, err := core.Decompress(res.Data, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -317,7 +317,7 @@ func cmdDecompress(args []string) error {
 	if err != nil {
 		return err
 	}
-	fld, err := core.DecompressAnyParallel(data, *workers)
+	fld, err := core.Decompress(data, *workers)
 	if err != nil {
 		return err
 	}

@@ -139,7 +139,7 @@ func assessField(name string, f *grid.Field, opts core.Options, divs []int) (*qa
 	if err != nil {
 		return nil, nil, err
 	}
-	dec, err := core.Decompress(res.Data)
+	dec, err := core.Decompress(res.Data, 0)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -45,7 +45,7 @@ func main() {
 		result.Timings.Wavelet, result.Timings.Quantize,
 		result.Timings.Encode, result.Timings.Gzip)
 
-	restored, err := core.Decompress(result.Data)
+	restored, err := core.Decompress(result.Data, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cheapField, err := core.Decompress(cheapRes.Data)
+	cheapField, err := core.Decompress(cheapRes.Data, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

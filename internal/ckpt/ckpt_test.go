@@ -102,8 +102,8 @@ func TestRegistrationErrors(t *testing.T) {
 	if err := m.Register("a", f); err == nil {
 		t.Error("duplicate name accepted")
 	}
-	if got := m.Names(); len(got) != 1 || got[0] != "a" {
-		t.Errorf("Names = %v", got)
+	if got := m.names; len(got) != 1 || got[0] != "a" {
+		t.Errorf("names = %v", got)
 	}
 }
 

@@ -426,7 +426,7 @@ func (c *Lossy) encode(w io.Writer, name string, f *grid.Field, cache *core.Slab
 // shape embedded in the lossy stream; both whole-array and chunked
 // payloads are accepted.
 func (c *Lossy) Decode(payload []byte, shape []int) (*grid.Field, error) {
-	f, err := core.DecompressAnyParallel(payload, c.Options.Workers)
+	f, err := core.Decompress(payload, c.Options.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -103,8 +103,8 @@ func TestRestoreBitFlipSweep(t *testing.T) {
 }
 
 // TestRestorePartialNeverPanics runs the same sweeps through the
-// lenient path: RestorePartial may succeed or fail, but must not panic
-// and must never report arrays it did not verify.
+// lenient path: the lenient restore may succeed or fail, but must not
+// panic and must never report arrays it did not verify.
 func TestRestorePartialNeverPanics(t *testing.T) {
 	data, mgr := checkpointStream(t, None{})
 	step := len(data)/512 + 1
@@ -115,7 +115,7 @@ func TestRestorePartialNeverPanics(t *testing.T) {
 					t.Fatalf("cut %d: panic: %v", cut, r)
 				}
 			}()
-			rep, _, err := mgr.RestorePartial(bytes.NewReader(data[:cut]))
+			rep, _, err := mgr.restore(bytes.NewReader(data[:cut]), true)
 			if err == nil && len(rep.Entries) == 0 {
 				t.Fatalf("cut %d: success with zero entries", cut)
 			}
@@ -130,7 +130,7 @@ func TestRestorePartialNeverPanics(t *testing.T) {
 					t.Fatalf("flip %d: panic: %v", pos, r)
 				}
 			}()
-			_, _, _ = mgr.RestorePartial(bytes.NewReader(mut))
+			_, _, _ = mgr.restore(bytes.NewReader(mut), true)
 		}()
 	}
 }

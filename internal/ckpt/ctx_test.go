@@ -108,7 +108,7 @@ func TestLoadLatestCtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := LoadLatestCtx(ctx, st, 1); !errors.Is(err, context.Canceled) {
+	if _, err := LoadLatestCtx(ctx, st, 1, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("LoadLatestCtx on cancelled ctx = %v, want context.Canceled", err)
 	}
 }

@@ -195,21 +195,21 @@ func TestInspectAndVerifyStream(t *testing.T) {
 			t.Fatalf("inspected entry %q guarantee %+v", e.Name, e.Guarantee)
 		}
 	}
-	if err := VerifyStream(data, false, 1); err != nil {
-		t.Fatalf("VerifyStream(frame-level): %v", err)
+	if err := StoreVerifier(false, 1)(data); err != nil {
+		t.Fatalf("verifier(frame-level): %v", err)
 	}
-	if err := VerifyStream(data, true, 1); err != nil {
-		t.Fatalf("VerifyStream(decode): %v", err)
+	if err := StoreVerifier(true, 1)(data); err != nil {
+		t.Fatalf("verifier(decode): %v", err)
 	}
 
 	// Any flipped byte in the stream must be caught by frame CRCs.
 	corrupt := append([]byte(nil), data...)
 	corrupt[len(corrupt)/2] ^= 0x40
-	if err := VerifyStream(corrupt, false, 1); err == nil {
-		t.Fatal("VerifyStream accepted a flipped byte")
+	if err := StoreVerifier(false, 1)(corrupt); err == nil {
+		t.Fatal("verifier accepted a flipped byte")
 	}
-	if err := VerifyStream(nil, false, 1); err == nil {
-		t.Fatal("VerifyStream accepted an empty stream")
+	if err := StoreVerifier(false, 1)(nil); err == nil {
+		t.Fatal("verifier accepted an empty stream")
 	}
 }
 

@@ -107,22 +107,6 @@ func (m *Manager) Register(name string, f *grid.Field) error {
 	return nil
 }
 
-// RegisterAll registers a list of named fields, failing on the first error.
-func (m *Manager) RegisterAll(fields []struct {
-	Name  string
-	Field *grid.Field
-}) error {
-	for _, nf := range fields {
-		if err := m.Register(nf.Name, nf.Field); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Names returns the registered variable names in registration order.
-func (m *Manager) Names() []string { return append([]string(nil), m.names...) }
-
 // EntryReport is the per-array accounting of one checkpoint.
 type EntryReport struct {
 	Name            string
@@ -357,6 +341,54 @@ func readEntry(br *byteReader, version, i int) (*rawEntry, error) {
 	return ent, nil
 }
 
+// streamScan is the one reader of checkpoint streams: openStream parses
+// the header, each walks the entries in stream order. Restore and the
+// lenient restore, loadStream, InspectStream and the scrub verifier are
+// all visitors over it.
+type streamScan struct {
+	br  *byteReader
+	hdr *streamHeader
+}
+
+// openStream reads and validates the stream header.
+func openStream(r io.Reader) (*streamScan, error) {
+	br := newByteReader(r)
+	hdr, err := readStreamHeader(br)
+	if err != nil {
+		return nil, err
+	}
+	return &streamScan{br: br, hdr: hdr}, nil
+}
+
+// each reads the header-declared entries in order and hands each one to
+// visit; a repeated variable name is rejected before visit sees it. In
+// strict mode the first damaged, torn, duplicate or rejected entry is the
+// error. In lenient mode such entries are skipped (the framing keeps the
+// scan aligned) and a torn tail ends the scan, since nothing beyond it is
+// framed. skipped counts the declared entries not visited successfully.
+func (s *streamScan) each(lenient bool, visit func(*rawEntry) error) (skipped int, err error) {
+	seen := make(map[string]bool, s.hdr.Count)
+	for i := 0; i < s.hdr.Count; i++ {
+		ent, err := readEntry(s.br, s.hdr.Version, i)
+		if err == nil && seen[ent.Name] {
+			err = fmt.Errorf("%w: duplicate variable %q", ErrFormat, ent.Name)
+		} else if err == nil {
+			err = visit(ent)
+		}
+		switch {
+		case err == nil:
+			seen[ent.Name] = true
+		case !lenient:
+			return 0, err
+		case ent == nil && !errors.Is(err, errEntryDamaged):
+			return skipped + s.hdr.Count - i, nil
+		default:
+			skipped++
+		}
+	}
+	return skipped, nil
+}
+
 // rawEntry is one parsed checkpoint frame before decoding.
 type rawEntry struct {
 	Name    string
@@ -428,13 +460,10 @@ func parseEntryBody(body []byte, i int) (*rawEntry, error) {
 
 // applyEntry validates one parsed entry against the registration,
 // decodes it, and copies the result into the registered field.
-func (m *Manager) applyEntry(ent *rawEntry, seen map[string]bool, rep *Report) error {
+func (m *Manager) applyEntry(ent *rawEntry, rep *Report) error {
 	target, ok := m.fields[ent.Name]
 	if !ok {
 		return fmt.Errorf("%w: stream variable %q not registered", ErrMismatch, ent.Name)
-	}
-	if seen[ent.Name] {
-		return fmt.Errorf("%w: duplicate variable %q", ErrFormat, ent.Name)
 	}
 	if target.Dims() != len(ent.Shape) {
 		return fmt.Errorf("%w: %q is %d-D in stream, %d-D registered", ErrMismatch, ent.Name, len(ent.Shape), target.Dims())
@@ -448,7 +477,6 @@ func (m *Manager) applyEntry(ent *rawEntry, seen map[string]bool, rep *Report) e
 	if err != nil {
 		return fmt.Errorf("ckpt: decoding %q: %w", ent.Name, err)
 	}
-	seen[ent.Name] = true
 	copy(target.Data(), decoded.Data())
 
 	rep.Entries = append(rep.Entries, EntryReport{
@@ -466,73 +494,39 @@ func (m *Manager) applyEntry(ent *rawEntry, seen map[string]bool, rep *Report) e
 // registered fields in place. The stream's codec name must match the
 // manager's codec, and every registered variable must be present with a
 // matching shape. It returns the report and the stored step counter.
-func (m *Manager) Restore(r io.Reader) (rep *Report, err error) {
+func (m *Manager) Restore(r io.Reader) (*Report, error) {
+	rep, _, err := m.restore(r, false)
+	return rep, err
+}
+
+// restore reads one checkpoint stream into the registered fields. Strict
+// mode is Restore. Lenient mode is frame-level partial recovery from a
+// possibly torn or corrupted stream: damaged frames and entries that do
+// not match the registration are skipped, a torn tail ends the scan, and
+// skipped names the registered variables that were not restored. The
+// header must be intact either way; with it gone there is nothing to
+// verify against. Arrays restore in stream order, so on error the
+// registered state may hold a mix of restored and untouched arrays —
+// callers decide whether a partial state is usable.
+func (m *Manager) restore(r io.Reader, lenient bool) (rep *Report, skipped []string, err error) {
 	start := time.Now()
 	// Even a failed restore may have overwritten some arrays; the delta
 	// baseline no longer describes the live state either way.
 	m.resetDelta()
+	mode := "full"
+	if lenient {
+		mode = "partial"
+	}
 	if o := m.observer(); o != nil {
-		sp := o.StartSpan(MetricRestoreSpan, "codec", m.codec.Name(), "mode", "full")
-		defer func() { sp.EndErr(err) }()
-	}
-	if op, owned := m.opFor("ckpt.restore", "codec", m.codec.Name(), "mode", "full"); op != nil {
-		defer func() {
-			fillRestore(op, rep, nil)
-			if owned {
-				op.End(err)
-			}
-		}()
-	}
-	br := newByteReader(r)
-	hdr, err := readStreamHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	if hdr.Codec != m.codec.Name() {
-		return nil, fmt.Errorf("%w: stream codec %q, manager codec %q", ErrMismatch, hdr.Codec, m.codec.Name())
-	}
-	if hdr.Count != len(m.names) {
-		return nil, fmt.Errorf("%w: stream has %d variables, %d registered", ErrMismatch, hdr.Count, len(m.names))
-	}
-
-	rep = &Report{Codec: hdr.Codec, Step: hdr.Step}
-	seen := make(map[string]bool, hdr.Count)
-	for i := 0; i < hdr.Count; i++ {
-		ent, err := readEntry(br, hdr.Version, i)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.applyEntry(ent, seen, rep); err != nil {
-			return nil, err
-		}
-	}
-	rep.Wall = time.Since(start)
-	return rep, nil
-}
-
-// RestorePartial reads a possibly torn or corrupted checkpoint stream
-// and restores every registered array whose frame verifies: frames with
-// failing CRCs or unparseable bodies are skipped (the outer framing
-// keeps the parse resynchronized), and a torn tail ends the scan. It
-// returns the report of what was restored plus the names of registered
-// variables that were not. The header itself must be intact; with it
-// gone there is nothing to verify against. Arrays restore in stream
-// order, so on error the registered state may hold a mix of restored
-// and untouched arrays — callers decide whether a partial state is
-// usable.
-func (m *Manager) RestorePartial(r io.Reader) (rep *Report, skipped []string, err error) {
-	start := time.Now()
-	m.resetDelta()
-	if o := m.observer(); o != nil {
-		sp := o.StartSpan(MetricRestoreSpan, "codec", m.codec.Name(), "mode", "partial")
+		sp := o.StartSpan(MetricRestoreSpan, "codec", m.codec.Name(), "mode", mode)
 		defer func() {
 			sp.EndErr(err)
 			if err == nil {
-				m.recordRestore(o, rep, skipped, true)
+				recordRestore(o, rep, skipped)
 			}
 		}()
 	}
-	if op, owned := m.opFor("ckpt.restore", "codec", m.codec.Name(), "mode", "partial"); op != nil {
+	if op, owned := m.opFor("ckpt.restore", "codec", m.codec.Name(), "mode", mode); op != nil {
 		defer func() {
 			fillRestore(op, rep, skipped)
 			if owned {
@@ -540,35 +534,31 @@ func (m *Manager) RestorePartial(r io.Reader) (rep *Report, skipped []string, er
 			}
 		}()
 	}
-	br := newByteReader(r)
-	hdr, err := readStreamHeader(br)
+	sc, err := openStream(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	if hdr.Codec != m.codec.Name() {
-		return nil, nil, fmt.Errorf("%w: stream codec %q, manager codec %q", ErrMismatch, hdr.Codec, m.codec.Name())
+	if sc.hdr.Codec != m.codec.Name() {
+		return nil, nil, fmt.Errorf("%w: stream codec %q, manager codec %q", ErrMismatch, sc.hdr.Codec, m.codec.Name())
+	}
+	if !lenient && sc.hdr.Count != len(m.names) {
+		return nil, nil, fmt.Errorf("%w: stream has %d variables, %d registered", ErrMismatch, sc.hdr.Count, len(m.names))
 	}
 
-	rep = &Report{Codec: hdr.Codec, Step: hdr.Step}
-	seen := make(map[string]bool, hdr.Count)
-	for i := 0; i < hdr.Count; i++ {
-		ent, err := readEntry(br, hdr.Version, i)
-		if errors.Is(err, errEntryDamaged) {
-			continue // damaged entry: skip, the framing keeps the scan aligned
-		}
-		if err != nil {
-			break // torn tail: nothing beyond this point is framed
-		}
-		// Mismatched or duplicate entries are skipped rather than fatal:
-		// partial recovery salvages what it can.
-		_ = m.applyEntry(ent, seen, rep)
+	rep = &Report{Codec: sc.hdr.Codec, Step: sc.hdr.Step}
+	if _, err := sc.each(lenient, func(ent *rawEntry) error { return m.applyEntry(ent, rep) }); err != nil {
+		return nil, nil, err
+	}
+	restored := make(map[string]bool, len(rep.Entries))
+	for _, e := range rep.Entries {
+		restored[e.Name] = true
 	}
 	for _, name := range m.names {
-		if !seen[name] {
+		if !restored[name] {
 			skipped = append(skipped, name)
 		}
 	}
-	if len(rep.Entries) == 0 {
+	if len(rep.Entries) == 0 && lenient {
 		return nil, skipped, fmt.Errorf("%w: no frame verified", ErrFormat)
 	}
 	rep.Wall = time.Since(start)

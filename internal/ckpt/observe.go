@@ -93,12 +93,15 @@ func (m *Manager) recordCheckpoint(o *obs.Registry, rep *Report, encoded []*Enco
 	}
 }
 
-// recordRestore folds one completed full or partial restore.
-func (m *Manager) recordRestore(o *obs.Registry, rep *Report, skipped []string, partial bool) {
-	if partial {
-		o.Counter(MetricPartialRestores).Inc()
-		o.Counter(MetricSkippedVars).Add(float64(len(skipped)))
-		o.Event("ckpt.partial_restore",
-			"restored", len(rep.Entries), "skipped", len(skipped), "step", fmt.Sprint(rep.Step))
+// recordRestore counts a completed restore as partial when it skipped
+// registered variables; a restore that recovered everything records
+// nothing here.
+func recordRestore(o *obs.Registry, rep *Report, skipped []string) {
+	if len(skipped) == 0 {
+		return
 	}
+	o.Counter(MetricPartialRestores).Inc()
+	o.Counter(MetricSkippedVars).Add(float64(len(skipped)))
+	o.Event("ckpt.partial_restore",
+		"restored", len(rep.Entries), "skipped", len(skipped), "step", fmt.Sprint(rep.Step))
 }

@@ -81,10 +81,6 @@ type StoreRestore struct {
 // array. Every failure is carried in the returned error if nothing at
 // all is restorable.
 func (m *Manager) RestoreLatest(st store.Target) (sr *StoreRestore, err error) {
-	gens := st.Generations()
-	var failures []error
-
-	o := m.observer()
 	op := m.journal().Begin("ckpt.restore_latest", "codec", m.codec.Name())
 	if op != nil {
 		m.curOp = op
@@ -100,63 +96,66 @@ func (m *Manager) RestoreLatest(st store.Target) (sr *StoreRestore, err error) {
 			op.End(err)
 		}()
 	}
-
-	// Pass 1: full restore, newest generation first.
-	for i := len(gens) - 1; i >= 0; i-- {
-		g := gens[i]
-		data, verified, err := st.ReadGenerationRaw(g.Seq)
+	err = walkLatest(context.Background(), st, m.observer(), m.journal(), func(seq uint64, data []byte, lenient bool) error {
+		rep, skipped, err := m.restore(bytes.NewReader(data), lenient)
 		if err != nil {
-			failures = append(failures, fmt.Errorf("gen %d: %w", g.Seq, err))
-			m.recordFallback(o, g.Seq, "read_error")
-			continue
+			return err
 		}
-		if !verified {
-			failures = append(failures, fmt.Errorf("gen %d: %w", g.Seq, store.ErrCorrupt))
-			m.recordFallback(o, g.Seq, "unverified")
-			continue
-		}
-		rep, err := m.Restore(bytes.NewReader(data))
-		if err != nil {
-			failures = append(failures, fmt.Errorf("gen %d: %w", g.Seq, err))
-			m.recordFallback(o, g.Seq, "restore_error")
-			continue
-		}
-		return &StoreRestore{
-			Generation: g.Seq,
-			Step:       rep.Step,
-			Restored:   namesOf(rep),
-			Report:     rep,
-		}, nil
-	}
-
-	// Pass 2: partial recovery from damaged generations, newest first.
-	for i := len(gens) - 1; i >= 0; i-- {
-		g := gens[i]
-		data, _, err := st.ReadGenerationRaw(g.Seq)
-		if err != nil {
-			continue
-		}
-		rep, skipped, err := m.RestorePartial(bytes.NewReader(data))
-		if err != nil {
-			failures = append(failures, fmt.Errorf("gen %d partial: %w", g.Seq, err))
-			continue
-		}
-		return &StoreRestore{
-			Generation: g.Seq,
+		sr = &StoreRestore{
+			Generation: seq,
 			Step:       rep.Step,
 			Partial:    len(skipped) > 0,
 			Restored:   namesOf(rep),
 			Skipped:    skipped,
 			Report:     rep,
-		}, nil
+		}
+		return nil
+	})
+	return sr, err
+}
+
+// walkLatest is the one generation walk behind RestoreLatest and
+// LoadLatestCtx. It hands generations to try newest first: a strict
+// pass over the copies whose size and CRC verify, then a lenient pass
+// over every readable copy. The first try to succeed ends the walk. A
+// generation the strict pass skips is counted in o and noted in j by
+// reason; ctx is checked before every attempt.
+func walkLatest(ctx context.Context, st store.Target, o *obs.Registry, j *journal.Journal, try func(seq uint64, data []byte, lenient bool) error) error {
+	gens := st.Generations()
+	var failures []error
+	for _, lenient := range []bool{false, true} {
+		for i := len(gens) - 1; i >= 0; i-- {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("ckpt: restore: %w", err)
+			}
+			seq := gens[i].Seq
+			data, verified, err := st.ReadGenerationRaw(seq)
+			reason := "read_error"
+			switch {
+			case err != nil:
+			case !verified && !lenient:
+				err, reason = store.ErrCorrupt, "unverified"
+			default:
+				if err = try(seq, data, lenient); err == nil {
+					return nil
+				}
+				reason = "restore_error"
+			}
+			if lenient {
+				failures = append(failures, fmt.Errorf("gen %d partial: %w", seq, err))
+				continue
+			}
+			failures = append(failures, fmt.Errorf("gen %d: %w", seq, err))
+			recordFallback(o, j, seq, reason)
+		}
 	}
-	return nil, fmt.Errorf("%w: %d generations tried: %v", ErrStoreEmpty, len(gens), errors.Join(failures...))
+	return fmt.Errorf("%w: %d generations tried: %v", ErrStoreEmpty, len(gens), errors.Join(failures...))
 }
 
 // recordFallback counts one generation the restore walk had to skip,
 // labeled with why, and leaves a trace event naming the generation.
-func (m *Manager) recordFallback(o *obs.Registry, seq uint64, reason string) {
-	m.journal().Note("ckpt.store_fallback", "gen", fmt.Sprint(seq), "reason", reason)
+func recordFallback(o *obs.Registry, j *journal.Journal, seq uint64, reason string) {
+	j.Note("ckpt.store_fallback", "gen", fmt.Sprint(seq), "reason", reason)
 	if o == nil {
 		return
 	}
@@ -199,16 +198,18 @@ type LoadedCheckpoint struct {
 // stream. Like RestoreLatest it walks generations newest-to-oldest,
 // preferring a fully verified load, then falls back to frame-level
 // partial recovery. workers bounds lossy decode parallelism (0 =
-// GOMAXPROCS).
+// GOMAXPROCS). The restore is recorded in the process default journal.
 func LoadLatest(st store.Target, workers int) (lc *LoadedCheckpoint, err error) {
-	return LoadLatestCtx(context.Background(), st, workers)
+	return LoadLatestCtx(context.Background(), st, workers, journal.Default())
 }
 
-// LoadLatestCtx is LoadLatest bound to a request context: cancellation
-// is observed between generation attempts, so a restore walking a deep
-// retention ring of damaged generations stops when its request dies.
-func LoadLatestCtx(ctx context.Context, st store.Target, workers int) (lc *LoadedCheckpoint, err error) {
-	op := journal.Default().Begin("ckpt.restore", "mode", "load_latest")
+// LoadLatestCtx is LoadLatest bound to a request context and a flight
+// recorder: cancellation is observed between generation attempts, so a
+// restore walking a deep retention ring of damaged generations stops
+// when its request dies, and the restore's wide event goes to j (nil
+// records nothing).
+func LoadLatestCtx(ctx context.Context, st store.Target, workers int, j *journal.Journal) (lc *LoadedCheckpoint, err error) {
+	op := j.Begin("ckpt.restore", "mode", "load_latest")
 	defer func() {
 		if op == nil {
 			return
@@ -226,103 +227,56 @@ func LoadLatestCtx(ctx context.Context, st store.Target, workers int) (lc *Loade
 		}
 		op.End(err)
 	}()
-	gens := st.Generations()
-	var failures []error
-
-	load := func(g store.Generation, lenient bool) (*LoadedCheckpoint, error) {
-		data, verified, err := st.ReadGenerationRaw(g.Seq)
+	err = walkLatest(ctx, st, obs.Default(), j, func(seq uint64, data []byte, lenient bool) error {
+		loaded, err := loadStream(bytes.NewReader(data), workers, lenient)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if !verified && !lenient {
-			return nil, store.ErrCorrupt
-		}
-		lc, err := loadStream(bytes.NewReader(data), workers, lenient)
-		if err != nil {
-			return nil, err
-		}
-		lc.Generation = g.Seq
-		return lc, nil
-	}
-	for i := len(gens) - 1; i >= 0; i-- {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("ckpt: restore: %w", cerr)
-		}
-		lc, err := load(gens[i], false)
-		if err != nil {
-			failures = append(failures, fmt.Errorf("gen %d: %w", gens[i].Seq, err))
-			continue
-		}
-		return lc, nil
-	}
-	for i := len(gens) - 1; i >= 0; i-- {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("ckpt: restore: %w", cerr)
-		}
-		lc, err := load(gens[i], true)
-		if err != nil {
-			failures = append(failures, fmt.Errorf("gen %d partial: %w", gens[i].Seq, err))
-			continue
-		}
-		return lc, nil
-	}
-	return nil, fmt.Errorf("%w: %d generations tried: %v", ErrStoreEmpty, len(gens), errors.Join(failures...))
+		loaded.Generation = seq
+		lc = loaded
+		return nil
+	})
+	return lc, err
 }
 
 // loadStream decodes a checkpoint stream with no registration. In
 // lenient mode damaged frames are skipped and a torn tail ends the
 // scan; in strict mode any damage is fatal.
 func loadStream(r io.Reader, workers int, lenient bool) (*LoadedCheckpoint, error) {
-	br := newByteReader(r)
-	hdr, err := readStreamHeader(br)
+	sc, err := openStream(r)
 	if err != nil {
 		return nil, err
 	}
-	codec, err := CodecByName(hdr.Codec)
+	codec, err := codecFor(sc.hdr.Codec, workers)
 	if err != nil {
 		return nil, err
 	}
-	if lossy, ok := codec.(*Lossy); ok {
-		lossy.Options.Workers = workers
-	}
-
-	lc := &LoadedCheckpoint{Step: hdr.Step, Codec: hdr.Codec}
-	seen := make(map[string]bool, hdr.Count)
-	for i := 0; i < hdr.Count; i++ {
-		ent, err := readEntry(br, hdr.Version, i)
-		if err != nil {
-			if !lenient {
-				return nil, err
-			}
-			if errors.Is(err, errEntryDamaged) {
-				lc.SkippedFrames++
-				continue
-			}
-			lc.SkippedFrames += hdr.Count - i
-			break // torn tail: nothing beyond this point is framed
-		}
-		if seen[ent.Name] {
-			if !lenient {
-				return nil, fmt.Errorf("%w: duplicate variable %q", ErrFormat, ent.Name)
-			}
-			lc.SkippedFrames++
-			continue
-		}
+	lc := &LoadedCheckpoint{Step: sc.hdr.Step, Codec: sc.hdr.Codec}
+	lc.SkippedFrames, err = sc.each(lenient, func(ent *rawEntry) error {
 		f, err := codec.Decode(ent.Payload, ent.Shape)
 		if err != nil {
-			if !lenient {
-				return nil, fmt.Errorf("ckpt: decoding %q: %w", ent.Name, err)
-			}
-			lc.SkippedFrames++
-			continue
+			return fmt.Errorf("ckpt: decoding %q: %w", ent.Name, err)
 		}
-		seen[ent.Name] = true
 		lc.Fields = append(lc.Fields, LoadedField{
 			Name: ent.Name, Field: f, Guarantee: entryGuarantee(ent.Payload)})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	lc.Partial = lc.SkippedFrames > 0
 	if len(lc.Fields) == 0 {
 		return nil, fmt.Errorf("%w: no frame verified", ErrFormat)
 	}
 	return lc, nil
+}
+
+// codecFor builds the codec a stream header names, with lossy decode
+// parallelism bounded by workers.
+func codecFor(name string, workers int) (Codec, error) {
+	codec, err := CodecByName(name)
+	if lossy, ok := codec.(*Lossy); ok {
+		lossy.Options.Workers = workers
+	}
+	return codec, err
 }

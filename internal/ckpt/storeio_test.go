@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lossyckpt/internal/grid"
+	"lossyckpt/internal/obs"
 	"lossyckpt/internal/store"
 )
 
@@ -192,6 +193,60 @@ func TestRestoreLatestPartialFromTornTail(t *testing.T) {
 	}
 }
 
+// TestRestoreLatestUnverifiedButWholeIsNotPartial: a bit flip in the
+// header step fails the generation's file CRC, so the walk falls back
+// to the lenient pass — but every frame still verifies, so the restore
+// is complete and must not be counted or reported as partial.
+func TestRestoreLatestUnverifiedButWholeIsNotPartial(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir, 2)
+	mgr := NewManager(None{}, 1)
+	fields := registerSample(t, mgr)
+	want := snapshot(fields)
+	reg := obs.NewRegistry()
+	mgr.SetObserver(reg)
+	if _, _, err := mgr.CheckpointTo(st, 9); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "gen-00000001.ckpt")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[4+2+2+len("none")] ^= 0x01 // low bit of the header step: 9 -> 8
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	scramble(fields)
+	res, err := mgr.RestoreLatest(st)
+	if err != nil {
+		t.Fatalf("RestoreLatest: %v", err)
+	}
+	if res.Partial || len(res.Skipped) != 0 || len(res.Restored) != 3 || res.Step != 8 {
+		t.Fatalf("restore %+v, want a complete restore at step 8", res)
+	}
+	for name, ref := range want {
+		for i, v := range fields[name].Data() {
+			if v != ref[i] {
+				t.Fatalf("%s[%d] = %v, want %v", name, i, v, ref[i])
+			}
+		}
+	}
+	if got := reg.Counter(MetricStoreFallbacks, "reason", "unverified").Value(); got != 1 {
+		t.Errorf("unverified fallbacks = %v, want 1", got)
+	}
+	if got := reg.Counter(MetricPartialRestores).Value(); got != 0 {
+		t.Errorf("%s = %v after a restore that skipped nothing, want 0", MetricPartialRestores, got)
+	}
+	events, _ := reg.Events()
+	for _, ev := range events {
+		if ev.Name == "ckpt.partial_restore" {
+			t.Errorf("partial_restore event for a complete restore: %+v", ev)
+		}
+	}
+}
+
 func TestRestorePartialSkipsFlippedFrame(t *testing.T) {
 	mgr := NewManager(None{}, 1)
 	fields := registerSample(t, mgr)
@@ -217,9 +272,9 @@ func TestRestorePartialSkipsFlippedFrame(t *testing.T) {
 	data[entry1Start+4+8+10] ^= 0x80 // 10 bytes into entry 1's body
 
 	scramble(fields)
-	rep, skipped, err := mgr.RestorePartial(bytes.NewReader(data))
+	rep, skipped, err := mgr.restore(bytes.NewReader(data), true)
 	if err != nil {
-		t.Fatalf("RestorePartial: %v", err)
+		t.Fatalf("lenient restore: %v", err)
 	}
 	if len(rep.Entries) != 2 {
 		t.Fatalf("restored %d entries, want 2", len(rep.Entries))

@@ -155,7 +155,7 @@ func entryOffsets(t *testing.T, data []byte) []int {
 }
 
 // TestStreamPartialRestore corrupts one v2 entry's payload: strict
-// Restore must fail, RestorePartial must skip exactly that variable, and
+// Restore must fail, the lenient restore must skip exactly that variable, and
 // lenient loadStream must count one skipped frame.
 func TestStreamPartialRestore(t *testing.T) {
 	m := NewManager(None{}, 1)
@@ -184,7 +184,7 @@ func TestStreamPartialRestore(t *testing.T) {
 	for _, f := range fields {
 		f.Fill(-1)
 	}
-	rep, skipped, err := m.RestorePartial(bytes.NewReader(mut))
+	rep, skipped, err := m.restore(bytes.NewReader(mut), true)
 	if err != nil {
 		t.Fatalf("partial restore: %v", err)
 	}
@@ -220,10 +220,10 @@ func TestStreamTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	offs := entryOffsets(t, buf.Bytes())
-	names := m.Names()
+	names := m.names
 	torn := buf.Bytes()[:offs[1]+10]
 
-	rep, skipped, err := m.RestorePartial(bytes.NewReader(torn))
+	rep, skipped, err := m.restore(bytes.NewReader(torn), true)
 	if err != nil {
 		t.Fatalf("partial restore of torn stream: %v", err)
 	}
@@ -263,13 +263,13 @@ func TestStreamInspectAndVerify(t *testing.T) {
 			t.Errorf("entry %q payload %d", e.Name, e.PayloadBytes)
 		}
 	}
-	if err := VerifyStream(buf.Bytes(), true, 1); err != nil {
+	if err := StoreVerifier(true, 1)(buf.Bytes()); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
 
 	mut := append([]byte(nil), buf.Bytes()...)
 	mut[len(mut)/2] ^= 0x10
-	if err := VerifyStream(mut, false, 1); err == nil {
+	if err := StoreVerifier(false, 1)(mut); err == nil {
 		t.Error("verify accepted corrupted v2 stream")
 	}
 }

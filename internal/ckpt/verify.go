@@ -35,28 +35,30 @@ type StreamInfo struct {
 // annotations. Any damage is an error (use loadStream's lenient mode for
 // salvage semantics).
 func InspectStream(data []byte) (*StreamInfo, error) {
-	br := newByteReader(bytes.NewReader(data))
-	hdr, err := readStreamHeader(br)
+	return inspectStream(data, false, 0)
+}
+
+// inspectStream is InspectStream that, with decode set, also decodes
+// every entry in the same pass (lossy parallelism bounded by workers).
+func inspectStream(data []byte, decode bool, workers int) (*StreamInfo, error) {
+	sc, err := openStream(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
-	info := &StreamInfo{Codec: hdr.Codec, Step: hdr.Step}
-	seen := make(map[string]bool, hdr.Count)
-	for i := 0; i < hdr.Count; i++ {
-		ent, err := readEntry(br, hdr.Version, i)
-		if err != nil {
+	var codec Codec
+	if decode {
+		if codec, err = codecFor(sc.hdr.Codec, workers); err != nil {
 			return nil, err
 		}
-		if seen[ent.Name] {
-			return nil, fmt.Errorf("%w: duplicate variable %q", ErrFormat, ent.Name)
-		}
-		seen[ent.Name] = true
+	}
+	info := &StreamInfo{Codec: sc.hdr.Codec, Step: sc.hdr.Step}
+	_, err = sc.each(false, func(ent *rawEntry) error {
 		se := StreamEntry{Name: ent.Name, Shape: ent.Shape, PayloadBytes: len(ent.Payload)}
 		inner := ent.Payload
 		if guard.IsEnveloped(ent.Payload) {
 			ann, err := guard.ParseAnnotation(ent.Payload)
 			if err != nil {
-				return nil, fmt.Errorf("ckpt: entry %q guard envelope: %w", ent.Name, err)
+				return fmt.Errorf("ckpt: entry %q guard envelope: %w", ent.Name, err)
 			}
 			se.Guarantee = &ann
 			if p, err := guard.InnerPayload(ent.Payload); err == nil {
@@ -64,49 +66,28 @@ func InspectStream(data []byte) (*StreamInfo, error) {
 			}
 		}
 		se.Entropy = core.IdentifyEntropy(inner)
+		if codec != nil {
+			if _, err := codec.Decode(ent.Payload, ent.Shape); err != nil {
+				return fmt.Errorf("ckpt: decoding %q: %w", ent.Name, err)
+			}
+		}
 		info.Entries = append(info.Entries, se)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return info, nil
 }
 
-// VerifyStream audits one checkpoint stream end to end: framing and
-// per-frame CRCs always, guard envelope CRCs and annotations when
-// present, and — with decode set — a full decode of every entry. It is
-// the verification callback store.Scrub uses to re-audit retained
-// generations beyond the store's own size+CRC check.
-func VerifyStream(data []byte, decode bool, workers int) error {
-	info, err := InspectStream(data)
-	if err != nil {
-		return err
-	}
-	if !decode {
-		return nil
-	}
-	codec, err := CodecByName(info.Codec)
-	if err != nil {
-		return err
-	}
-	if lossy, ok := codec.(*Lossy); ok {
-		lossy.Options.Workers = workers
-	}
-	br := newByteReader(bytes.NewReader(data))
-	hdr, err := readStreamHeader(br)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < hdr.Count; i++ {
-		ent, err := readEntry(br, hdr.Version, i)
-		if err != nil {
-			return err
-		}
-		if _, err := codec.Decode(ent.Payload, ent.Shape); err != nil {
-			return fmt.Errorf("ckpt: decoding %q: %w", ent.Name, err)
-		}
-	}
-	return nil
-}
-
-// StoreVerifier adapts VerifyStream to store.ScrubOptions.Verify.
+// StoreVerifier returns the store.ScrubOptions.Verify callback that
+// re-audits retained generations beyond the store's own size+CRC check:
+// framing and per-frame CRCs always, guard envelope CRCs and annotations
+// when present, and — with decode set — a full decode of every entry,
+// all in one pass over the stream.
 func StoreVerifier(decode bool, workers int) func([]byte) error {
-	return func(data []byte) error { return VerifyStream(data, decode, workers) }
+	return func(data []byte) error {
+		_, err := inspectStream(data, decode, workers)
+		return err
+	}
 }

@@ -39,7 +39,7 @@ func TestPerBandStreamSelfDescribing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Decompress(res.Data)
+	g, err := Decompress(res.Data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestErrorBoundUnreachableReported(t *testing.T) {
 		t.Error("unreachable bound not reported")
 	}
 	// The stream is still valid.
-	if _, err := Decompress(res.Data); err != nil {
+	if _, err := Decompress(res.Data, 0); err != nil {
 		t.Errorf("best-effort stream does not decode: %v", err)
 	}
 }

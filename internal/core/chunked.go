@@ -294,12 +294,17 @@ func parseChunked(data []byte) (shape []int, frames []chunkFrame, err error) {
 	return shape, frames, nil
 }
 
+// isChunked sniffs the chunked-stream magic.
+func isChunked(data []byte) bool {
+	return len(data) >= 4 && binary.LittleEndian.Uint32(data) == chunkedMagic
+}
+
 // IdentifyEntropy names the entropy coding of a compressed stream
 // without decoding it: for chunked streams the first chunk's framing is
 // reported (all chunks of one compression share it), for single streams
 // the payload itself. Unrecognized bytes report "unknown".
 func IdentifyEntropy(data []byte) string {
-	if len(data) >= 4 && binary.LittleEndian.Uint32(data) == chunkedMagic {
+	if isChunked(data) {
 		if _, frames, err := parseChunked(data); err == nil && len(frames) > 0 {
 			return entropy.Identify(frames[0].payload)
 		}
@@ -328,7 +333,8 @@ func decodeChunkInto(f *grid.Field, shape []int, planeElems, c int, fr chunkFram
 }
 
 // DecompressChunked reconstructs the field from a CompressChunked stream,
-// decoding chunks one at a time on the calling goroutine.
+// decoding chunks one at a time on the calling goroutine. It is the serial
+// reference the pooled Decompress is tested against.
 func DecompressChunked(data []byte) (*grid.Field, error) {
 	start := time.Now()
 	shape, frames, err := parseChunked(data)

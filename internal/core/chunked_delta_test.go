@@ -90,7 +90,7 @@ func TestCompressChunkedDeltaByteIdentical(t *testing.T) {
 	}
 
 	// The stream stays decodable and restores the mutated field.
-	got, err := DecompressChunkedParallel(mut.Data, 2)
+	got, err := Decompress(mut.Data, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

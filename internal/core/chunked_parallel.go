@@ -1,26 +1,22 @@
 package core
 
 import (
-	"encoding/binary"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lossyckpt/internal/grid"
-	"lossyckpt/internal/obs"
 )
 
 // This file is the decode half of the chunked parallel engine; the
 // compression pool lives in stream.go.
 
-// DecompressChunkedParallel reconstructs the field from a chunked stream,
-// decoding chunk payloads on a bounded worker pool (workers 0 =
-// GOMAXPROCS, 1 = serial). Chunks scatter into disjoint plane ranges of
-// the output field, so the reconstruction is identical to
-// DecompressChunked for every worker count.
-func DecompressChunkedParallel(data []byte, workers int) (*grid.Field, error) {
-	start := time.Now()
+// decompressChunks reconstructs the field from a chunked stream, decoding
+// chunk payloads on a bounded worker pool (workers 0 = GOMAXPROCS, 1 =
+// serial). Chunks scatter into disjoint plane ranges of the output field,
+// so the reconstruction is identical to DecompressChunked for every
+// worker count.
+func decompressChunks(data []byte, workers int) (*grid.Field, error) {
 	shape, frames, err := parseChunked(data)
 	if err != nil {
 		return nil, err
@@ -66,21 +62,5 @@ func DecompressChunkedParallel(data []byte, workers int) (*grid.Field, error) {
 			return nil, err
 		}
 	}
-	recordDecompressOp(obs.Default(), "chunked", f.Bytes(), time.Since(start))
 	return f, nil
-}
-
-// DecompressAnyParallel decodes either a plain Compress stream or a
-// chunked stream with bounded parallelism: chunked streams decode chunks
-// on the worker pool, plain streams bound the wavelet inverse instead.
-func DecompressAnyParallel(data []byte, workers int) (*grid.Field, error) {
-	if len(data) >= 4 && binary.LittleEndian.Uint32(data) == chunkedMagic {
-		return DecompressChunkedParallel(data, workers)
-	}
-	start := time.Now()
-	f, err := decompressWorkers(data, workers)
-	if err == nil {
-		recordDecompressOp(obs.Default(), "single", f.Bytes(), time.Since(start))
-	}
-	return f, err
 }

@@ -88,8 +88,8 @@ func TestChunkedParallelByteIdentical(t *testing.T) {
 }
 
 // TestDecompressChunkedParallelMatchesSerial checks the decode side: the
-// parallel decoder reconstructs bit-identical fields for every worker
-// count, including via the sniffing DecompressAnyParallel entry point.
+// pooled Decompress reconstructs bit-identical fields for every worker
+// count, on chunked and on plain streams.
 func TestDecompressChunkedParallelMatchesSerial(t *testing.T) {
 	f := smooth3D(130, 20, 2, 47)
 	res, err := CompressChunked(f, DefaultOptions(), 16)
@@ -101,31 +101,24 @@ func TestDecompressChunkedParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range parallelWorkerSweep() {
-		got, err := DecompressChunkedParallel(res.Data, workers)
+		got, err := Decompress(res.Data, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !want.Equal(got) {
 			t.Fatalf("workers=%d: parallel reconstruction differs", workers)
 		}
-		got, err = DecompressAnyParallel(res.Data, workers)
-		if err != nil {
-			t.Fatalf("any workers=%d: %v", workers, err)
-		}
-		if !want.Equal(got) {
-			t.Fatalf("any workers=%d: reconstruction differs", workers)
-		}
 	}
-	// DecompressAnyParallel must also handle plain (unchunked) streams.
+	// Decompress must also handle plain (unchunked) streams.
 	plain, err := Compress(f, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPlain, err := Decompress(plain.Data)
+	wantPlain, err := Decompress(plain.Data, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotPlain, err := DecompressAnyParallel(plain.Data, 2)
+	gotPlain, err := Decompress(plain.Data, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

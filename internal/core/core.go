@@ -81,8 +81,7 @@ type Options struct {
 	// zero value, entropy.Gzip, keeps the paper's DEFLATE stage and — with
 	// Shuffle off — produces the exact legacy byte stream, no envelope.
 	// Any other selection wraps the payload in the self-describing entropy
-	// envelope, which Decompress/DecompressAnyParallel consume
-	// transparently.
+	// envelope, which Decompress consumes transparently.
 	// entropy.LZ4 trades compression ratio for >4× stage-4 throughput.
 	EntropyCodec entropy.ID
 	// Shuffle runs the byte-lane transpose pre-pass over the formatted
@@ -111,8 +110,8 @@ type Options struct {
 	LogQuant bool
 	// Workers bounds the intra-array parallelism of the pipeline: the
 	// wavelet transform shards large axis passes over this many goroutines,
-	// and CompressChunkedParallel / DecompressChunkedParallel use it as the
-	// chunk worker-pool size. 0 means GOMAXPROCS; 1 forces the serial path.
+	// and the chunked compressors use it as the chunk worker-pool size.
+	// 0 means GOMAXPROCS; 1 forces the serial path.
 	// The compressed output is byte-identical for every worker count.
 	Workers int
 	// ErrorBound, when positive, overrides Divisions: the pipeline picks
@@ -483,22 +482,28 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// Decompress inverts the pipeline, reconstructing the (lossy) field from a
-// stream produced by Compress. Large wavelet inverse passes run on
-// GOMAXPROCS goroutines; use decompressWorkers via DecompressAnyParallel
-// to bound that.
-func Decompress(data []byte) (*grid.Field, error) {
+// Decompress inverts the pipeline for every stream this package writes.
+// Chunked streams, recognized by their magic, decode their chunks on a
+// bounded worker pool; plain Compress streams bound the wavelet inverse
+// instead. workers 0 means GOMAXPROCS and 1 forces the serial path; the
+// reconstruction is identical for every worker count.
+func Decompress(data []byte, workers int) (*grid.Field, error) {
 	start := time.Now()
-	f, err := decompressWorkers(data, 0)
-	if err == nil {
-		recordDecompressOp(obs.Default(), "single", f.Bytes(), time.Since(start))
+	kind, decode := "single", decompressWorkers
+	if isChunked(data) {
+		kind, decode = "chunked", decompressChunks
 	}
-	return f, err
+	f, err := decode(data, workers)
+	if err != nil {
+		return nil, err
+	}
+	recordDecompressOp(obs.Default(), kind, f.Bytes(), time.Since(start))
+	return f, nil
 }
 
-// decompressWorkers is Decompress with an explicit wavelet parallelism
-// bound (0 = GOMAXPROCS, 1 = serial). The reconstruction is identical for
-// every worker count.
+// decompressWorkers decodes one plain Compress stream with an explicit
+// wavelet parallelism bound (0 = GOMAXPROCS, 1 = serial). The
+// reconstruction is identical for every worker count.
 func decompressWorkers(data []byte, workers int) (*grid.Field, error) {
 	// The entropy layer sniffs the envelope and dispatches to the right
 	// codec; legacy payloads (raw gzip/zlib, including multi-member
@@ -582,7 +587,7 @@ func RoundTrip(f *grid.Field, opts Options) (*grid.Field, *Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	g, err := Decompress(res.Data)
+	g, err := Decompress(res.Data, opts.Workers)
 	if err != nil {
 		return nil, nil, err
 	}

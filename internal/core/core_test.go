@@ -169,12 +169,12 @@ func TestOptionValidation(t *testing.T) {
 }
 
 func TestDecompressRejectsGarbage(t *testing.T) {
-	if _, err := Decompress([]byte("junk")); err == nil {
+	if _, err := Decompress([]byte("junk"), 0); err == nil {
 		t.Error("garbage accepted")
 	}
 	// Valid gzip of garbage container.
 	gz, _ := gzipio.Compress([]byte("still junk"), gzipio.Default, gzipio.InMemory, "")
-	if _, err := Decompress(gz.Compressed); err == nil {
+	if _, err := Decompress(gz.Compressed, 0); err == nil {
 		t.Error("gzip-wrapped garbage accepted")
 	}
 }
@@ -189,7 +189,7 @@ func TestDecompressRejectsTamperedStream(t *testing.T) {
 	// container CRC must catch it.
 	mut := append([]byte(nil), res.Data...)
 	mut[len(mut)/2] ^= 0x01
-	if _, err := Decompress(mut); err == nil {
+	if _, err := Decompress(mut, 0); err == nil {
 		t.Error("tampered stream accepted")
 	}
 }

@@ -45,7 +45,7 @@ func TestDecompressCorruptionSweep(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := compressedSample(t, tc.chunk)
-			ref, err := DecompressAnyParallel(data, 1)
+			ref, err := Decompress(data, 1)
 			if err != nil {
 				t.Fatalf("intact stream failed: %v", err)
 			}
@@ -58,7 +58,7 @@ func TestDecompressCorruptionSweep(t *testing.T) {
 							t.Fatalf("truncate %d: panic: %v", cut, r)
 						}
 					}()
-					if _, err := DecompressAnyParallel(data[:cut], 1); err == nil {
+					if _, err := Decompress(data[:cut], 1); err == nil {
 						t.Fatalf("truncate %d: accepted", cut)
 					}
 				}()
@@ -73,7 +73,7 @@ func TestDecompressCorruptionSweep(t *testing.T) {
 								t.Fatalf("flip byte %d bit %d: panic: %v", pos, bit, r)
 							}
 						}()
-						got, err := DecompressAnyParallel(mut, 1)
+						got, err := Decompress(mut, 1)
 						if err != nil {
 							return // detected, good
 						}

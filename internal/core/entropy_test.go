@@ -31,7 +31,7 @@ func TestEntropyCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refField, err := Decompress(ref.Data)
+	refField, err := Decompress(ref.Data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,19 +43,15 @@ func TestEntropyCodecRoundTrip(t *testing.T) {
 		if bytes.HasPrefix(res.Data, []byte{0x1f, 0x8b}) {
 			t.Fatalf("%s shuffle=%v: non-default selection produced a bare gzip stream", opts.EntropyCodec, opts.Shuffle)
 		}
-		for name, dec := range map[string]func([]byte) (interface{ Data() []float64 }, error){
-			"Decompress":    func(d []byte) (interface{ Data() []float64 }, error) { return Decompress(d) },
-			"AnyParallel/0": func(d []byte) (interface{ Data() []float64 }, error) { return DecompressAnyParallel(d, 0) },
-			"AnyParallel":   func(d []byte) (interface{ Data() []float64 }, error) { return DecompressAnyParallel(d, 2) },
-		} {
-			g, err := dec(res.Data)
+		for _, workers := range []int{0, 2} {
+			g, err := Decompress(res.Data, workers)
 			if err != nil {
-				t.Fatalf("%s shuffle=%v via %s: %v", opts.EntropyCodec, opts.Shuffle, name, err)
+				t.Fatalf("%s shuffle=%v workers=%d: %v", opts.EntropyCodec, opts.Shuffle, workers, err)
 			}
 			got, want := g.Data(), refField.Data()
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%s shuffle=%v via %s: value %d differs from gzip-path reconstruction", opts.EntropyCodec, opts.Shuffle, name, i)
+					t.Fatalf("%s shuffle=%v workers=%d: value %d differs from gzip-path reconstruction", opts.EntropyCodec, opts.Shuffle, workers, i)
 				}
 			}
 		}
@@ -93,11 +89,11 @@ func TestLegacyGzipPayloadBackCompat(t *testing.T) {
 		if _, err := gzipio.DecompressMembersParallel(res.Data, 2); err != nil {
 			t.Fatalf("%v: pre-PR-6 DEFLATE decoder rejects the default-path stream: %v", opts.GzipFormat, err)
 		}
-		g1, err := Decompress(res.Data)
+		g1, err := Decompress(res.Data, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g2, err := DecompressAnyParallel(res.Data, 3)
+		g2, err := Decompress(res.Data, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +118,7 @@ func TestEntropyChunkedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := DecompressAnyParallel(cres.Data, 0)
+	g, err := Decompress(cres.Data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +127,7 @@ func TestEntropyChunkedRoundTrip(t *testing.T) {
 	if _, err := CompressChunkedTo(&buf, f, opts, 16); err != nil {
 		t.Fatal(err)
 	}
-	gs, err := DecompressAnyParallel(buf.Bytes(), 2)
+	gs, err := Decompress(buf.Bytes(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func FuzzDecompress(f *testing.F) {
 		f.Add(res.Data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out, err := Decompress(data)
+		out, err := Decompress(data, 0)
 		if err == nil && out == nil {
 			t.Fatal("nil field without error")
 		}
@@ -44,9 +44,11 @@ func FuzzDecompressChunked(f *testing.F) {
 	})
 }
 
-// FuzzDecompressChunkedParallel differentially checks the parallel decoder
-// against the serial one: for arbitrary input both must agree on whether
-// the stream is valid, and on the reconstructed field when it is.
+// FuzzDecompressChunkedParallel differentially checks the pooled
+// Decompress against the serial reference for the same format —
+// DecompressChunked for chunked streams, a one-worker plain decode
+// otherwise: for arbitrary input both must agree on whether the stream is
+// valid, and on the reconstructed field when it is.
 func FuzzDecompressChunkedParallel(f *testing.F) {
 	f.Add([]byte{})
 	fld := smooth3D(24, 8, 2, 97)
@@ -57,9 +59,16 @@ func FuzzDecompressChunkedParallel(f *testing.F) {
 		mut[len(mut)/2] ^= 0x55
 		f.Add(mut)
 	}
+	if res, err := Compress(fld, DefaultOptions()); err == nil {
+		f.Add(res.Data)
+		f.Add(res.Data[:len(res.Data)/2])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		serial, serialErr := DecompressChunked(data)
-		par, parErr := DecompressChunkedParallel(data, 3)
+		if !isChunked(data) {
+			serial, serialErr = decompressWorkers(data, 1)
+		}
+		par, parErr := Decompress(data, 3)
 		if (serialErr == nil) != (parErr == nil) {
 			t.Fatalf("error disagreement: serial %v, parallel %v", serialErr, parErr)
 		}

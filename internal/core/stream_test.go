@@ -100,7 +100,7 @@ func TestGzipBlockRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantField, err := Decompress(serial.Data)
+	wantField, err := Decompress(serial.Data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestGzipBlockRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v workers %d: %v", format, workers, err)
 			}
-			g, err := Decompress(res.Data)
+			g, err := Decompress(res.Data, 0)
 			if err != nil {
 				t.Fatalf("%v workers %d: decompress: %v", format, workers, err)
 			}

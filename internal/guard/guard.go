@@ -369,7 +369,7 @@ func Decode(payload []byte, shape []int, workers int) (*grid.Field, Annotation, 
 	if ann.Mode == Lossless {
 		f, err = core.DecompressGzipOnly(inner, shape...)
 	} else {
-		f, err = core.DecompressAnyParallel(inner, workers)
+		f, err = core.Decompress(inner, workers)
 	}
 	if err != nil {
 		return nil, ann, err
@@ -390,7 +390,7 @@ type verdict struct {
 // verify checks one rung's result against the policy.
 func verify(f *grid.Field, res *core.Result, opts core.Options, pol Policy, rng, amp, slack float64) (verdict, error) {
 	if pol.Verify == VerifyDecode {
-		g, err := core.DecompressAnyParallel(res.Data, opts.Workers)
+		g, err := core.Decompress(res.Data, opts.Workers)
 		if err != nil {
 			return verdict{}, err
 		}

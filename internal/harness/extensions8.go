@@ -61,7 +61,7 @@ func EntropyStage(cfg Config) (*Table, error) {
 				return measured{}, err
 			}
 			dstart := time.Now()
-			if _, err := core.DecompressAnyParallel(res.Data, opts.Workers); err != nil {
+			if _, err := core.Decompress(res.Data, opts.Workers); err != nil {
 				return measured{}, err
 			}
 			runs = append(runs, measured{

@@ -114,7 +114,7 @@ func (c Config) qualityReport(workload string) (*qa.Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		dec, err := core.Decompress(res.Data)
+		dec, err := core.Decompress(res.Data, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -136,7 +136,7 @@ func TestReportRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := core.Decompress(res.Data)
+	dec, err := core.Decompress(res.Data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

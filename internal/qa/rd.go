@@ -49,7 +49,7 @@ func RateDistortion(f *grid.Field, base core.Options, divisions []int) ([]RDPoin
 		}
 		enc := time.Since(t0)
 		t0 = time.Now()
-		dec, err := core.Decompress(res.Data)
+		dec, err := core.Decompress(res.Data, 0)
 		if err != nil {
 			return nil, fmt.Errorf("qa: rd decompress (divisions=%d): %w", div, err)
 		}

@@ -444,7 +444,7 @@ func (s *Server) handleSave(ctx context.Context, t *tenant, w http.ResponseWrite
 
 	mgr := ckpt.NewManager(codec, s.cfg.Workers)
 	mgr.SetObserver(s.cfg.Observer)
-	mgr.SetJournal(s.cfg.Journal)
+	mgr.SetJournal(s.journal())
 	for _, nf := range fields {
 		if err := mgr.Register(nf.Name, nf.Field); err != nil {
 			return reject(http.StatusBadRequest, "bad_request", "save: %v", err)
@@ -470,7 +470,7 @@ func (s *Server) handleSave(ctx context.Context, t *tenant, w http.ResponseWrite
 }
 
 func (s *Server) handleRestore(ctx context.Context, t *tenant, w http.ResponseWriter, _ *http.Request) error {
-	lc, err := ckpt.LoadLatestCtx(ctx, t.st, s.cfg.Workers)
+	lc, err := ckpt.LoadLatestCtx(ctx, t.st, s.cfg.Workers, s.journal())
 	if err != nil {
 		if errors.Is(err, ckpt.ErrStoreEmpty) {
 			return reject(http.StatusNotFound, "empty", "restore: %v", err)

@@ -18,6 +18,7 @@ import (
 	"lossyckpt/internal/cas"
 	"lossyckpt/internal/grid"
 	"lossyckpt/internal/obs"
+	"lossyckpt/internal/obs/journal"
 	"lossyckpt/internal/store"
 )
 
@@ -154,6 +155,47 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	for i, nf := range out {
 		if nf.Name != in[i].Name || !nf.Field.Equal(in[i].Field) {
 			t.Fatalf("field %d (%s) does not round-trip", i, nf.Name)
+		}
+	}
+}
+
+// TestJournalLinksRestoreToRequest: with Config.Journal set, a daemon
+// restore's ckpt.restore wide event is a child of the server.restore
+// request, just as the save's ckpt.checkpoint is a child of server.save.
+func TestJournalLinksRestoreToRequest(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "flight.jsonl")
+	j, err := journal.Open(jpath, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := twoTenants(t, func(c *Config) { c.Journal = j })
+	in := makeFields(t, 1)
+	resp := save(t, ts, "alpha", "tok-a", 3, in)
+	wantStatus(t, resp, http.StatusOK)
+	if _, rresp := restoreFields(t, ts, "alpha", "tok-a"); rresp.StatusCode != http.StatusOK {
+		t.Fatalf("restore = %d", rresp.StatusCode)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recs, torn, err := journal.ReadAll(jpath)
+	if err != nil || torn {
+		t.Fatalf("read journal: torn=%v err=%v", torn, err)
+	}
+	children := map[string][]string{}
+	for _, root := range journal.Replay(recs) {
+		for _, c := range root.Children {
+			children[root.Op] = append(children[root.Op], c.Op)
+		}
+	}
+	for parent, child := range map[string]string{"server.save": "ckpt.checkpoint", "server.restore": "ckpt.restore"} {
+		found := false
+		for _, op := range children[parent] {
+			found = found || op == child
+		}
+		if !found {
+			t.Errorf("%s children = %v, want %s among them", parent, children[parent], child)
 		}
 	}
 }

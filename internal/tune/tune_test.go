@@ -145,7 +145,7 @@ func TestSettingApplyRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := core.DecompressAnyParallel(res.Data, 2)
+	g, err := core.Decompress(res.Data, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSettingApplyRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Decompress(ref.Data)
+	want, err := core.Decompress(ref.Data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

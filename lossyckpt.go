@@ -84,8 +84,9 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 func Compress(f *Field, opts Options) (*Result, error) { return core.Compress(f, opts) }
 
 // Decompress reconstructs the (lossy) field from a stream produced by
-// Compress; all pipeline parameters travel inside the stream.
-func Decompress(data []byte) (*Field, error) { return core.Decompress(data) }
+// Compress or a chunked compressor; all pipeline parameters travel inside
+// the stream.
+func Decompress(data []byte) (*Field, error) { return core.Decompress(data, 0) }
 
 // RoundTrip compresses and immediately decompresses, returning the lossy
 // reconstruction alongside the compression result — the building block of
@@ -264,7 +265,7 @@ func CompressChunkedTo(w io.Writer, f *Field, opts Options, chunkExtent int) (*C
 // DecompressAny decodes either a Compress stream or a CompressChunked
 // stream, sniffing the framing. Chunks and large wavelet passes decode on
 // GOMAXPROCS goroutines.
-func DecompressAny(data []byte) (*Field, error) { return core.DecompressAnyParallel(data, 0) }
+func DecompressAny(data []byte) (*Field, error) { return core.Decompress(data, 0) }
 
 // PSNR returns the peak signal-to-noise ratio in decibels between an
 // original and a reconstructed field — the metric the later SZ/ZFP

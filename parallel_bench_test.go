@@ -106,7 +106,7 @@ func BenchmarkChunkedParallelDecompress(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.DecompressChunkedParallel(res.Data, workers); err != nil {
+				if _, err := core.Decompress(res.Data, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -209,7 +209,7 @@ func BenchmarkAllocDecompress(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Decompress(res.Data); err != nil {
+		if _, err := core.Decompress(res.Data, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
